@@ -93,14 +93,20 @@ func BenchmarkTableI_SerialCompute(b *testing.B) { tableIBench(b, workloads.Seri
 // machine are the workloads where the cluster macro-actor dominates host
 // time, so they bound what sharding the clusters across goroutines can buy.
 // Results are bit-identical at every worker count (TestHostParallelDeterminism);
-// only wall-clock changes. Meaningful scaling needs ≥ 4 physical cores.
+// only wall-clock changes. Meaningful scaling needs ≥ 4 physical cores. The
+// workers-default arm runs HostWorkers=0 (which resolves to serial), so the
+// history records the default beside workers-1.
 func BenchmarkHostParallelScaling(b *testing.B) {
 	for _, g := range []workloads.TableIGroup{workloads.ParallelMemory, workloads.ParallelCompute} {
 		cfg := xmtgo.ConfigChip1024()
 		prog := buildB(b, workloads.TableI(g, cfg.Clusters*cfg.TCUsPerCluster, 40),
 			xmtgo.DefaultCompileOptions())
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", g.Name(), w), func(b *testing.B) {
+		for _, w := range []int{0, 1, 2, 4, 8} {
+			arm := fmt.Sprintf("workers-%d", w)
+			if w == 0 {
+				arm = "workers-default"
+			}
+			b.Run(g.Name()+"/"+arm, func(b *testing.B) {
 				wcfg := cfg
 				wcfg.HostWorkers = w
 				var cycles int64
@@ -117,12 +123,12 @@ func BenchmarkHostParallelScaling(b *testing.B) {
 	}
 }
 
-// --- Bounded lookahead: window width and engine mode vs throughput ---
+// --- Bounded lookahead: window width vs throughput ---
 //
-// Compares the legacy single-cycle engine (lookahead=1), the derived
-// conservative window and the optimistic rollback mode on the two parallel
-// Table I groups (docs/PERF.md §Lookahead). Results are bit-identical in
-// every configuration (TestLookaheadDeterminism); only wall-clock changes.
+// Compares the legacy single-cycle engine (lookahead=1) and the derived
+// conservative window on the two parallel Table I groups (docs/PERF.md
+// §Lookahead windows). Results are bit-identical in every configuration
+// (TestLookaheadDeterminism); only wall-clock changes.
 // The compute group is where multi-cycle windows pay: clusters run long
 // stretches without cross-cluster traffic clamping the span.
 func BenchmarkLookahead(b *testing.B) {
@@ -133,16 +139,13 @@ func BenchmarkLookahead(b *testing.B) {
 		for _, v := range []struct {
 			name      string
 			lookahead int
-			mode      string
 		}{
-			{"single-cycle", 1, ""},
-			{"window-derived", 0, ""},
-			{"optimistic", 0, xmtgo.EngineOptimistic},
+			{"single-cycle", 1},
+			{"window-derived", 0},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", g.Name(), v.name), func(b *testing.B) {
 				vcfg := cfg
 				vcfg.Lookahead = v.lookahead
-				vcfg.EngineMode = v.mode
 				var cycles int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -99,19 +99,16 @@ type Config struct {
 	WatchdogCycles int64
 
 	// Host execution. HostWorkers is the number of host goroutines that
-	// tick the cluster shards in parallel (0 = GOMAXPROCS, 1 = serial).
-	// Simulation results are bit-identical for any value.
+	// tick the cluster shards: 0 = serial (1 worker); N>1 = N parallel
+	// workers, results identical.
 	HostWorkers int
 
 	// Bounded-lookahead engine (docs/PERF.md). Lookahead is the maximum
 	// number of consecutive cluster cycles one scheduler event may cover:
 	// 0 derives the window from the minimum cross-cluster round-trip
-	// latency, 1 restores the single-cycle engine. EngineMode selects the
-	// window strategy: EngineWindowed (conservative lockstep, the default;
-	// "" means windowed) or EngineOptimistic (speculative free-run with
-	// snapshot rollback). Results are bit-identical for every combination.
-	Lookahead  int
-	EngineMode string
+	// latency, 1 restores the single-cycle engine. Results are
+	// bit-identical for every value.
+	Lookahead int
 
 	// Telemetry. SampleCycles is the interval, in cluster cycles, at which
 	// the interval sampler snapshots the activity counters (0 disables
@@ -143,18 +140,6 @@ type Config struct {
 	StaticWattsPerCluster float64
 	StaticWattsOther      float64
 }
-
-// Engine modes for the bounded-lookahead parallel engine (docs/PERF.md).
-const (
-	// EngineWindowed runs conservative lockstep windows: every cluster
-	// ticks cycle k before any ticks k+1, and a window-closing effect in
-	// any cluster truncates the window for all of them.
-	EngineWindowed = "windowed"
-	// EngineOptimistic lets clusters free-run the whole window
-	// independently; clusters that overran the consensus boundary roll
-	// back to their window-entry snapshot and replay.
-	EngineOptimistic = "optimistic"
-)
 
 // Functional-mode backends (docs/SIMULATOR.md §Functional backends).
 const (
@@ -204,8 +189,6 @@ func (c *Config) Validate() error {
 		{c.PSPerCycle > 0, "PSPerCycle must be positive"},
 		{c.HostWorkers >= 0, "HostWorkers must be non-negative"},
 		{c.Lookahead >= 0, "Lookahead must be non-negative"},
-		{c.EngineMode == "" || c.EngineMode == EngineWindowed || c.EngineMode == EngineOptimistic,
-			"EngineMode must be windowed or optimistic"},
 		{c.FuncBackend == "" || c.FuncBackend == FuncBackendInterp || c.FuncBackend == FuncBackendVM,
 			"FuncBackend must be interp or vm"},
 		{c.WatchdogCycles >= 0, "WatchdogCycles must be non-negative"},
@@ -396,15 +379,6 @@ var fieldSetters = map[string]func(*Config, string) error{
 	},
 	"host_workers": intField(func(c *Config) *int { return &c.HostWorkers }),
 	"lookahead":    intField(func(c *Config) *int { return &c.Lookahead }),
-	"engine_mode": func(c *Config, v string) error {
-		switch strings.ToLower(v) {
-		case "", EngineWindowed, EngineOptimistic:
-			c.EngineMode = strings.ToLower(v)
-		default:
-			return fmt.Errorf("want windowed or optimistic, got %q", v)
-		}
-		return nil
-	},
 	"seed": func(c *Config, v string) error {
 		n, err := strconv.ParseUint(v, 0, 64)
 		if err != nil {
@@ -539,12 +513,8 @@ func (c *Config) Describe() string {
 	fmt.Fprintf(&b, "periods: cluster=%d icn=%d cache=%d dram=%d master=%d\n",
 		c.ClusterPeriod, c.ICNPeriod, c.CachePeriod, c.DRAMPeriod, c.MasterPeriod)
 	fmt.Fprintf(&b, "mem_bytes=%d seed=%d\n", c.MemBytes, c.Seed)
-	fmt.Fprintf(&b, "host_workers=%d (0 = GOMAXPROCS; results identical for any value)\n", c.HostWorkers)
-	mode := c.EngineMode
-	if mode == "" {
-		mode = EngineWindowed
-	}
-	fmt.Fprintf(&b, "lookahead=%d engine_mode=%s (0 = derive window from min cross-cluster latency)\n", c.Lookahead, mode)
+	fmt.Fprintf(&b, "host_workers=%d (0 = serial (1 worker); N>1 = N parallel workers, results identical)\n", c.HostWorkers)
+	fmt.Fprintf(&b, "lookahead=%d (0 = derive window from min cross-cluster latency)\n", c.Lookahead)
 	fmt.Fprintf(&b, "fault_seed=%d fault_plan=%q watchdog_cycles=%d\n", c.FaultSeed, c.FaultPlan, c.WatchdogCycles)
 	fmt.Fprintf(&b, "sample_cycles=%d (0 = interval sampling off)\n", c.SampleCycles)
 	backend := c.FuncBackend

@@ -73,6 +73,19 @@ func TestSetErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsEngineMode pins that the removed engine_mode key (the
+// deleted optimistic rollback engine's selector) fails as an unknown key
+// rather than being silently ignored.
+func TestLoadRejectsEngineMode(t *testing.T) {
+	for _, v := range []string{"windowed", "optimistic"} {
+		cfg := FPGA64()
+		err := cfg.Load("lookahead=3\nengine_mode=" + v + "\n")
+		if err == nil || !strings.Contains(err.Error(), `unknown key "engine_mode"`) {
+			t.Errorf("Load(engine_mode=%s) = %v, want an unknown key error", v, err)
+		}
+	}
+}
+
 func TestValidateCatchesBadConfigs(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.Clusters = 0 },

@@ -19,9 +19,7 @@ import (
 // Cluster implements engine.WindowShard: under the bounded-lookahead engine
 // it executes several cycles per scheduler event, marking the outbox with
 // per-cycle segments, and replays one segment per CommitCycle in (cycle,
-// cluster) order — bit-identical to the single-cycle engine. In optimistic
-// mode it additionally snapshots its window-entry state so an overrun past
-// the consensus window end can be rolled back and replayed.
+// cluster) order — bit-identical to the single-cycle engine.
 type Cluster struct {
 	sys  *System
 	id   int
@@ -69,12 +67,9 @@ type Cluster struct {
 	// attribution check without scanning every TCU.
 	nActive int
 
-	// Bounded-lookahead window state (engine.WindowShard).
-	winBase   int64 // absolute cluster cycle of window cycle 0
-	winEvBase int   // evRing length at BeginWindow (rollback truncation point)
-	deferProf bool  // optimistic: buffer profile PCs until the cycle commits
-	profPend  []int32
-	snap      clusterSnap
+	// Bounded-lookahead window state (engine.WindowShard): the absolute
+	// cluster cycle of window cycle 0.
+	winBase int64
 
 	// pkgFree recycles Packages. Allocation happens in this cluster's
 	// compute phase; System.route frees a package after its delivery
@@ -269,21 +264,10 @@ func (c *Cluster) replay(rlo, rhi, olo, ohi, elo, ehi int32, now engine.Time) {
 	}
 }
 
-// BeginWindow opens a lookahead window (engine.WindowShard). With snapshot
-// set (optimistic mode) the cluster captures its window-entry state so an
-// overrun can be rolled back.
-func (c *Cluster) BeginWindow(snapshot bool) {
+// BeginWindow opens a lookahead window (engine.WindowShard).
+func (c *Cluster) BeginWindow() {
 	c.ob.segs = c.ob.segs[:0]
 	c.ob.closing = false
-	c.profPend = c.profPend[:0]
-	c.winEvBase = 0
-	if c.evRing != nil {
-		c.winEvBase = c.evRing.Len()
-	}
-	c.deferProf = snapshot && c.prof != nil
-	if snapshot {
-		c.capture()
-	}
 }
 
 // WindowTick runs one window cycle's compute phase and marks its segment.
@@ -292,11 +276,11 @@ func (c *Cluster) WindowTick(cycle int64, now engine.Time) (busy, closing bool) 
 		c.winBase = cycle
 	}
 	busy = c.Tick(cycle, now)
-	ev := c.winEvBase
+	ev := 0
 	if c.evRing != nil {
 		ev = c.evRing.Len()
 	}
-	closing = c.ob.mark(cycle, ev, len(c.profPend))
+	closing = c.ob.mark(cycle, ev)
 	// Keep enough ring headroom for one more cycle's worth of events: a
 	// near-full ring closes the window, so multi-cycle batching can never
 	// drop an event the single-cycle engine would have kept (which drains
@@ -317,15 +301,13 @@ func (c *Cluster) CommitCycle(k int, now engine.Time) {
 	}
 	s := c.sys
 	seg := &c.ob.segs[k]
-	// Cycle 0 drains ring events from 0, not winEvBase: events emitted by
-	// serial contexts between windows (delivery unblocks, PS responses) sit
-	// below winEvBase and would otherwise be discarded by EndWindow's reset —
-	// the single-cycle engine drains them at its next commit. winEvBase is
-	// only the optimistic Rollback truncation point.
-	var rlo, olo, plo, elo int32
+	// Cycle 0 drains ring events from 0: events emitted by serial contexts
+	// between windows (delivery unblocks, PS responses) sit at the front of
+	// the ring, and the single-cycle engine drains them at its next commit.
+	var rlo, olo, elo int32
 	if k > 0 {
 		prev := &c.ob.segs[k-1]
-		rlo, olo, plo, elo = prev.rec, prev.op, prev.prof, prev.ev
+		rlo, olo, elo = prev.rec, prev.op, prev.ev
 	}
 	// Replay-order guard: a segment claiming a cycle other than winBase+k
 	// would silently reorder shared effects against other clusters'. Fail
@@ -340,14 +322,6 @@ func (c *Cluster) CommitCycle(k int, now engine.Time) {
 	}
 	s.beginCommit(seg.cycle, now)
 	c.replay(rlo, seg.rec, olo, seg.op, elo, seg.ev, now)
-	// Deferred profile samples (optimistic mode): issues from cycles past
-	// the consensus window end were truncated by the rollback replay, so
-	// applying here keeps profiles identical to the direct-emit modes.
-	if c.deferProf {
-		for _, pc := range c.profPend[plo:seg.prof] {
-			c.prof.Issue(int(pc))
-		}
-	}
 	s.endCommit()
 }
 
@@ -357,163 +331,6 @@ func (c *Cluster) EndWindow() {
 		c.sys.evlog.ResetRing(c.evRing)
 	}
 	c.ob.reset()
-	c.profPend = c.profPend[:0]
-	c.deferProf = false
-}
-
-// Rollback rewinds the cluster to its window-entry snapshot (optimistic
-// mode: this cluster ran past the consensus window end). The engine
-// re-ticks cycles 0..E afterwards; with all cross-cluster inputs frozen the
-// replay is deterministic. Packages allocated by the rolled-back cycles are
-// deliberately NOT returned to the freelist: a restored pre-window
-// pendingSend may alias one of them, and the garbage collector reclaiming a
-// few overrun allocations is cheaper than corrupting the pool.
-func (c *Cluster) Rollback() {
-	c.restore()
-	if c.evRing != nil {
-		c.evRing.Truncate(c.winEvBase)
-	}
-	for i := range c.ob.recs {
-		c.ob.recs[i] = obRec{}
-	}
-	c.ob.recs = c.ob.recs[:0]
-	c.ob.ops = c.ob.ops[:0]
-	c.ob.segs = c.ob.segs[:0]
-	c.ob.wokeICN = false
-	c.ob.closing = false
-	c.profPend = c.profPend[:0]
-}
-
-// tcuSnap captures one TCU's window-entry state for optimistic rollback.
-type tcuSnap struct {
-	ctx             funcmodel.Context
-	state           tcuState
-	stallUntil      int64
-	pendingNB       int
-	memWaitStart    engine.Time
-	blockPC         int32
-	blockOp         isa.Op
-	waitPS          bool
-	doneCounted     bool
-	pendingPbufLoad isa.Instr
-	pendingPbufAddr uint32
-	waitingPbuf     bool
-	pendingSend     *Package
-	pendingSendPkg  Package // contents of *pendingSend (retries mutate Issued)
-	pendingSendPC   int
-	pendingSendIn   isa.Instr
-	pbuf            []pbufEntry
-}
-
-// clusterSnap captures a cluster's window-entry state. Only state the
-// compute phase can mutate is saved: everything else (shared memory, the
-// scheduler, other clusters) is frozen for the window's duration by
-// construction.
-type clusterSnap struct {
-	tcus           []tcuSnap
-	fpuFreeAt      []int64
-	mduFreeAt      []int64
-	unitsBusyUntil int64
-	roLastUse      []int64
-	sendQLen       int
-	asyncPortFree  engine.Time
-	stats          stats.ClusterStats
-	nActive        int
-	tickMask       uint64
-}
-
-func (c *Cluster) capture() {
-	s := &c.snap
-	if s.tcus == nil {
-		s.tcus = make([]tcuSnap, len(c.tcus))
-		s.fpuFreeAt = make([]int64, len(c.fpuFreeAt))
-		s.mduFreeAt = make([]int64, len(c.mduFreeAt))
-		if c.ro != nil {
-			s.roLastUse = make([]int64, len(c.ro.lastUse))
-		}
-		for i, t := range c.tcus {
-			s.tcus[i].pbuf = make([]pbufEntry, len(t.pbuf.entries))
-		}
-	}
-	for i, t := range c.tcus {
-		ts := &s.tcus[i]
-		pb := ts.pbuf
-		copy(pb, t.pbuf.entries)
-		*ts = tcuSnap{
-			ctx:             t.ctx,
-			state:           t.state,
-			stallUntil:      t.stallUntil,
-			pendingNB:       t.pendingNB,
-			memWaitStart:    t.memWaitStart,
-			blockPC:         t.blockPC,
-			blockOp:         t.blockOp,
-			waitPS:          t.waitPS,
-			doneCounted:     t.doneCounted,
-			pendingPbufLoad: t.pendingPbufLoad,
-			pendingPbufAddr: t.pendingPbufAddr,
-			waitingPbuf:     t.waitingPbuf,
-			pendingSend:     t.pendingSend,
-			pendingSendPC:   t.pendingSendPC,
-			pendingSendIn:   t.pendingSendIn,
-			pbuf:            pb,
-		}
-		if t.pendingSend != nil {
-			ts.pendingSendPkg = *t.pendingSend
-		}
-	}
-	copy(s.fpuFreeAt, c.fpuFreeAt)
-	copy(s.mduFreeAt, c.mduFreeAt)
-	s.unitsBusyUntil = c.unitsBusyUntil
-	if c.ro != nil {
-		copy(s.roLastUse, c.ro.lastUse)
-	}
-	s.sendQLen = len(c.sendQ)
-	s.asyncPortFree = c.sys.asyncPortFree[c.id]
-	s.stats = c.sys.Stats.Cluster[c.id]
-	s.nActive = c.nActive
-	s.tickMask = c.tickMask
-}
-
-func (c *Cluster) restore() {
-	s := &c.snap
-	for i, t := range c.tcus {
-		ts := &s.tcus[i]
-		t.ctx = ts.ctx
-		t.state = ts.state
-		t.stallUntil = ts.stallUntil
-		t.pendingNB = ts.pendingNB
-		t.memWaitStart = ts.memWaitStart
-		t.blockPC = ts.blockPC
-		t.blockOp = ts.blockOp
-		t.waitPS = ts.waitPS
-		t.doneCounted = ts.doneCounted
-		t.pendingPbufLoad = ts.pendingPbufLoad
-		t.pendingPbufAddr = ts.pendingPbufAddr
-		t.waitingPbuf = ts.waitingPbuf
-		t.pendingSend = ts.pendingSend
-		t.pendingSendPC = ts.pendingSendPC
-		t.pendingSendIn = ts.pendingSendIn
-		if ts.pendingSend != nil {
-			*ts.pendingSend = ts.pendingSendPkg
-		}
-		copy(t.pbuf.entries, ts.pbuf)
-	}
-	copy(c.fpuFreeAt, s.fpuFreeAt)
-	copy(c.mduFreeAt, s.mduFreeAt)
-	c.unitsBusyUntil = s.unitsBusyUntil
-	if c.ro != nil {
-		copy(c.ro.lastUse, s.roLastUse)
-	}
-	// Packages the overrun pushed past the snapshot length stay allocated
-	// (see Rollback); truncating the queue un-sends them.
-	for i := s.sendQLen; i < len(c.sendQ); i++ {
-		c.sendQ[i] = nil
-	}
-	c.sendQ = c.sendQ[:s.sendQLen]
-	c.sys.asyncPortFree[c.id] = s.asyncPortFree
-	c.sys.Stats.Cluster[c.id] = s.stats
-	c.nActive = s.nActive
-	c.tickMask = s.tickMask
 }
 
 // send enqueues a package for ICN injection; it fails (backpressure) when

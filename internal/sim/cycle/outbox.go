@@ -69,7 +69,6 @@ type obSeg struct {
 	rec   int32 // end index into recs
 	op    int32 // end index into ops
 	ev    int32 // end length of the cluster's event ring
-	prof  int32 // end index into the cluster's deferred profile PCs
 }
 
 // outbox accumulates one window's deferred shared effects, in issue order.
@@ -159,16 +158,14 @@ func (o *outbox) race(t *TCU, addr uint32, in isa.Instr) {
 }
 
 // mark closes the current cycle's segment and reports whether it contained
-// a window-closing record. evLen is the cluster event ring's length,
-// profLen the deferred-profile cursor.
-func (o *outbox) mark(cycle int64, evLen, profLen int) (closing bool) {
+// a window-closing record. evLen is the cluster event ring's length.
+func (o *outbox) mark(cycle int64, evLen int) (closing bool) {
 	closing = o.closing
 	o.segs = append(o.segs, obSeg{
 		cycle: cycle,
 		rec:   int32(len(o.recs)),
 		op:    int32(len(o.ops)),
 		ev:    int32(evLen),
-		prof:  int32(profLen),
 	})
 	o.closing = false
 	return closing

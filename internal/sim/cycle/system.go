@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 
 	"xmtgo/internal/asm"
@@ -182,12 +181,13 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 		s.injector = inj
 	}
 
-	// Resolve the host worker count: 0 means all of GOMAXPROCS; never
-	// more workers than clusters. A single worker uses no pool at all —
-	// the identical two-phase tick/commit loop runs inline.
+	// Resolve the host worker count: 0 means serial, the fastest measured
+	// setting (docs/PERF.md §Host-parallel cluster simulation); never more
+	// workers than clusters. A single worker uses no pool at all — the
+	// identical two-phase tick/commit loop runs inline.
 	workers := cfg.HostWorkers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = 1
 	}
 	if workers > cfg.Clusters {
 		workers = cfg.Clusters
@@ -200,7 +200,7 @@ func New(prog *asm.Program, cfg config.Config, out io.Writer) (*System, error) {
 	for _, c := range s.clusters {
 		s.clusterMA.Add(c)
 	}
-	s.clusterMA.SetLookahead(deriveLookahead(&cfg), cfg.EngineMode == config.EngineOptimistic)
+	s.clusterMA.SetLookahead(deriveLookahead(&cfg))
 	s.icnMA = engine.NewMacroActor("icn", s.Sched, s.icnClock, s.icn)
 	s.cacheMA = engine.NewMacroActor("caches", s.Sched, s.cacheClock)
 	for _, cm := range s.modules {
@@ -244,10 +244,6 @@ func deriveLookahead(cfg *config.Config) int {
 
 // Lookahead returns the resolved window size in cluster cycles.
 func (s *System) Lookahead() int { return s.clusterMA.Lookahead() }
-
-// Rollbacks returns how many optimistic window overruns were rolled back
-// and replayed (always 0 in conservative modes).
-func (s *System) Rollbacks() uint64 { return s.clusterMA.Rollbacks() }
 
 // beginCommit/endCommit bracket one window cycle's outbox replay, exposing
 // the committing cycle and its edge time to effects that run inside it.

@@ -86,8 +86,7 @@ type TCU struct {
 
 // setState transitions the TCU's scheduling state, maintaining the
 // cluster's tickable-TCU bitmask and active count. Every state write after
-// construction must go through here (or restore the mask wholesale, as the
-// optimistic rollback does).
+// construction must go through here.
 func (t *TCU) setState(ns tcuState) {
 	os := t.state
 	if os == ns {
@@ -167,21 +166,6 @@ func (t *TCU) Tick(cycle int64, now engine.Time) bool {
 	return t.issue(cycle, now)
 }
 
-// profIssue records one issue with the cycle profiler, deferring to the
-// commit phase in optimistic mode (a rolled-back cycle must not leave
-// profile samples behind).
-func (t *TCU) profIssue(pc int) {
-	c := t.cluster
-	if c.prof == nil {
-		return
-	}
-	if c.deferProf {
-		c.profPend = append(c.profPend, int32(pc))
-		return
-	}
-	c.prof.Issue(pc)
-}
-
 // stashSend records a refused injection for the fast retry path and keeps
 // the PC on the refused instruction, exactly like the full re-issue would.
 func (t *TCU) stashSend(p *Package, pc int, in isa.Instr) bool {
@@ -208,7 +192,9 @@ func (t *TCU) retrySend(now engine.Time) bool {
 		t.cluster.evRing.Emit(trace.Event{TS: now, Dur: t.sys.clusterClock.Period(),
 			Kind: trace.EvInstr, Op: in.Op, Ctx: int32(t.id), PC: int32(pc), Arg: int64(in.Line)})
 	}
-	t.profIssue(pc)
+	if t.cluster.prof != nil {
+		t.cluster.prof.Issue(pc)
+	}
 	p.Issued = now
 	if !t.cluster.send(p, now) {
 		return true
@@ -257,7 +243,9 @@ func (t *TCU) issue(cycle int64, now engine.Time) bool {
 		t.cluster.evRing.Emit(trace.Event{TS: now, Dur: t.sys.clusterClock.Period(),
 			Kind: trace.EvInstr, Op: in.Op, Ctx: int32(t.id), PC: int32(pc), Arg: int64(in.Line)})
 	}
-	t.profIssue(pc)
+	if t.cluster.prof != nil {
+		t.cluster.prof.Issue(pc)
+	}
 
 	count := func() { t.cluster.ob.count(in.Op) }
 	meta := in.Op.Meta()

@@ -38,9 +38,8 @@ type ShardCycler interface {
 // produced it.
 type WindowShard interface {
 	ShardCycler
-	// BeginWindow starts a window; snapshot requests rollback capture
-	// (optimistic mode).
-	BeginWindow(snapshot bool)
+	// BeginWindow starts a window.
+	BeginWindow()
 	// WindowTick runs one cycle of the window and closes its effect
 	// segment. closing reports that this cycle buffered a window-closing
 	// effect (or that a buffer is near capacity), so no later cycle may
@@ -51,9 +50,6 @@ type WindowShard interface {
 	CommitCycle(k int, now Time)
 	// EndWindow releases window buffers after every cycle has committed.
 	EndWindow()
-	// Rollback discards all window cycles, restoring the BeginWindow
-	// snapshot (optimistic mode only).
-	Rollback()
 }
 
 // poolJob is one ForEach invocation, shared by every participating worker.
@@ -89,12 +85,9 @@ type WorkerPool struct {
 	inline bool
 }
 
-// NewWorkerPool returns a pool of n workers (n <= 0 means GOMAXPROCS).
-// Goroutines start lazily on first use.
+// NewWorkerPool returns a pool of n workers (n <= 1 runs every call
+// inline). Goroutines start lazily on first use.
 func NewWorkerPool(n int) *WorkerPool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	return &WorkerPool{n: n, inline: runtime.GOMAXPROCS(0) == 1}
 }
 
@@ -249,10 +242,11 @@ func (b *spinBarrier) await(gen int) bool {
 // ParallelMacroActor is a MacroActor whose components tick concurrently on
 // a WorkerPool and then commit serially in component order. Like
 // MacroActor it consumes one event per cycle regardless of component
-// count; unlike it, the compute phase of that event uses every host core.
-// With a nil pool it degrades to the exact serial two-phase loop, which is
-// why workers=1 and workers=N produce bit-identical results (the commit
-// order, not the compute order, defines all shared-state interleavings).
+// count; unlike it, the compute phase of that event can use several host
+// cores. With a nil pool (the cycle engine's default) it runs the exact
+// serial two-phase loop, which is why workers=1 and workers=N produce
+// bit-identical results (the commit order, not the compute order, defines
+// all shared-state interleavings).
 //
 // When its components implement WindowShard and a lookahead > 1 is set,
 // one scheduler event covers up to `lookahead` consecutive cycles (a
@@ -272,24 +266,13 @@ type ParallelMacroActor struct {
 	// Window mode (SetLookahead). wcomps mirrors comps and is non-nil in
 	// every slot only when every component supports windows.
 	lookahead  int
-	optimistic bool
 	allWindows bool
 	wcomps     []WindowShard
-	rollbacks  atomic.Uint64
 
 	// Hoisted single-cycle tick closure (avoids one allocation per event).
 	tickFn    func(i int)
 	tickCycle int64
 	tickNow   Time
-
-	// Optimistic free-run state, reused across windows.
-	frFn             func(i int)
-	rbFn             func(i int)
-	frCycle          int64
-	frNow, frPeriod  Time
-	frSpan, frReplay int
-	ends, closeAt    []int
-	busyHist         []bool // [comp*lookahead + k]
 
 	bar spinBarrier
 
@@ -303,8 +286,6 @@ func NewParallelMacroActor(name string, sched *Scheduler, clock *Clock, pool *Wo
 	m := &ParallelMacroActor{Name: name, sched: sched, clock: clock, pool: pool,
 		lookahead: 1, allWindows: true}
 	m.tickFn = func(i int) { m.busy[i] = m.comps[i].Tick(m.tickCycle, m.tickNow) }
-	m.frFn = func(i int) { m.freeRun(i) }
-	m.rbFn = func(i int) { m.rollbackReplay(i) }
 	return m
 }
 
@@ -327,25 +308,16 @@ func (m *ParallelMacroActor) Workers() int { return m.pool.Size() }
 
 // SetLookahead configures the bounded-lookahead window: w is the maximum
 // cycles one scheduler event may cover (w <= 1 restores the single-cycle
-// engine). optimistic selects the speculative mode: shards free-run the
-// whole window independently — one barrier per window instead of one per
-// cycle — and shards that overran the consensus window boundary roll back
-// to their window-entry snapshot and replay. Results are bit-identical in
-// every mode; see docs/PERF.md.
-func (m *ParallelMacroActor) SetLookahead(w int, optimistic bool) {
+// engine). Results are bit-identical for every w; see docs/PERF.md.
+func (m *ParallelMacroActor) SetLookahead(w int) {
 	if w < 1 {
 		w = 1
 	}
 	m.lookahead = w
-	m.optimistic = optimistic
 }
 
 // Lookahead returns the configured window bound (1 = single-cycle engine).
 func (m *ParallelMacroActor) Lookahead() int { return m.lookahead }
-
-// Rollbacks returns the number of shard-window rollbacks the optimistic
-// mode performed (0 in the conservative modes).
-func (m *ParallelMacroActor) Rollbacks() uint64 { return m.rollbacks.Load() }
 
 // Wake ensures a notification is scheduled for the next clock edge.
 // Idempotent within a cycle, like MacroActor.Wake.
@@ -375,11 +347,7 @@ func (m *ParallelMacroActor) Notify(now Time) {
 		m.notifyOne(now)
 		return
 	}
-	if m.optimistic {
-		m.notifyOptimistic(now, span)
-	} else {
-		m.notifyWindow(now, span)
-	}
+	m.notifyWindow(now, span)
 }
 
 // windowSpan bounds the next window: no more than lookahead cycles, and
@@ -429,7 +397,7 @@ func (m *ParallelMacroActor) notifyWindow(now Time, span int) {
 	period := m.clock.Period()
 	cycle := m.clock.Cycle(now)
 	for _, c := range comps {
-		c.BeginWindow(false)
+		c.BeginWindow()
 	}
 	var last int
 	var anyBusy bool
@@ -513,99 +481,6 @@ func (m *ParallelMacroActor) lockstepParallel(nw int, cycle int64, now, period T
 		}
 	})
 	return int(lastK.Load()), lastBusy.Load() == 1
-}
-
-// notifyOptimistic runs a speculative window: every shard free-runs the
-// full span independently (no per-cycle barrier at all), stopping only at
-// its own first window-closing cycle. The consensus window end E is the
-// earliest closing cycle across shards (or the first all-quiet cycle);
-// shards that ran past E roll back to their window-entry snapshot and
-// deterministically replay cycles up to E before the common commit.
-func (m *ParallelMacroActor) notifyOptimistic(now Time, span int) {
-	comps := m.wcomps
-	n := len(comps)
-	period := m.clock.Period()
-	if len(m.ends) < n {
-		m.ends = make([]int, n)
-		m.closeAt = make([]int, n)
-	}
-	if len(m.busyHist) < n*m.lookahead {
-		m.busyHist = make([]bool, n*m.lookahead)
-	}
-	m.frCycle, m.frNow, m.frPeriod, m.frSpan = m.clock.Cycle(now), now, period, span
-	m.pool.ForEach(n, m.frFn)
-
-	e := span - 1
-	for i := 0; i < n; i++ {
-		if c := m.closeAt[i]; c >= 0 && c < e {
-			e = c
-		}
-	}
-	for k := 0; k <= e; k++ {
-		quiet := true
-		for i := 0; i < n; i++ {
-			if m.busyHist[i*m.lookahead+k] {
-				quiet = false
-				break
-			}
-		}
-		if quiet {
-			e = k
-			break
-		}
-	}
-
-	m.frReplay = e
-	m.pool.ForEach(n, m.rbFn)
-
-	m.commitWindow(now, period, e)
-	anyBusy := false
-	for i := 0; i < n; i++ {
-		if m.busyHist[i*m.lookahead+e] {
-			anyBusy = true
-			break
-		}
-	}
-	if anyBusy {
-		m.Wake(now + Time(e)*period)
-	}
-}
-
-// freeRun speculatively executes shard i through the window.
-func (m *ParallelMacroActor) freeRun(i int) {
-	c := m.wcomps[i]
-	c.BeginWindow(true)
-	base := i * m.lookahead
-	end, closed := -1, -1
-	for k := 0; k < m.frSpan; k++ {
-		busy, closing := c.WindowTick(m.frCycle+int64(k), m.frNow+Time(k)*m.frPeriod)
-		m.busyHist[base+k] = busy
-		end = k
-		if closing {
-			closed = k
-			break
-		}
-	}
-	m.ends[i], m.closeAt[i] = end, closed
-}
-
-// rollbackReplay discards shard i's overrun past the consensus boundary
-// and replays the agreed cycles from the window-entry snapshot. The replay
-// is deterministic: within the window the shard's inputs are frozen, so
-// re-ticking the same cycles reproduces the same buffered effects.
-func (m *ParallelMacroActor) rollbackReplay(i int) {
-	e := m.frReplay
-	if m.ends[i] <= e {
-		return
-	}
-	m.rollbacks.Add(1)
-	c := m.wcomps[i]
-	c.Rollback()
-	base := i * m.lookahead
-	for k := 0; k <= e; k++ {
-		busy, _ := c.WindowTick(m.frCycle+int64(k), m.frNow+Time(k)*m.frPeriod)
-		m.busyHist[base+k] = busy
-	}
 }
 
 // commitWindow replays every shard's buffered effects for cycles [0,last]

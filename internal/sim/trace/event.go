@@ -124,15 +124,6 @@ func (r *Ring) Len() int { return len(r.buf) }
 // Cap returns the ring's capacity (events held between drains).
 func (r *Ring) Cap() int { return cap(r.buf) }
 
-// Truncate discards every event past index n (optimistic-rollback support:
-// a cluster that overran its lookahead window rewinds its ring to the
-// window-entry length).
-func (r *Ring) Truncate(n int) {
-	if n < len(r.buf) {
-		r.buf = r.buf[:n]
-	}
-}
-
 // EventLog collects the deterministic, committed event stream of one run.
 type EventLog struct {
 	Events  []Event

@@ -2,9 +2,9 @@
 // windows, docs/PERF.md) must be architecturally invisible. Every artifact
 // the host-parallel determinism contract covers — results, program output,
 // statistics, Chrome traces, telemetry, race reports — must be byte-identical
-// across every combination of host worker count, lookahead window size
+// across every combination of host worker count and lookahead window size
 // (single-cycle legacy, a deliberately awkward odd width, the derived
-// window) and the optimistic rollback mode. Checkpoint/resume must land on
+// window). Checkpoint/resume must land on
 // the same architectural state even when the checkpoint period does not
 // divide the window width, i.e. when the stop falls mid-window.
 package xmtgo_test
@@ -42,20 +42,17 @@ func lookaheadCorpus(t *testing.T) []detCase {
 // engineVariants enumerates the engine configurations under test. lookahead=1
 // restores the legacy single-cycle engine and serves as the reference;
 // lookahead=3 forces windows that never align with the derived width;
-// lookahead=0 derives the window from the minimum cross-cluster latency;
-// optimistic free-runs and rolls back on overrun.
+// lookahead=0 derives the window from the minimum cross-cluster latency.
 type engineVariant struct {
 	name      string
 	lookahead int
-	mode      string
 }
 
 func engineVariants() []engineVariant {
 	return []engineVariant{
-		{"single-cycle", 1, ""},
-		{"window-3", 3, ""},
-		{"window-derived", 0, ""},
-		{"optimistic", 0, "optimistic"},
+		{"single-cycle", 1},
+		{"window-3", 3},
+		{"window-derived", 0},
 	}
 }
 
@@ -72,7 +69,6 @@ func TestLookaheadDeterminism(t *testing.T) {
 				for _, w := range []int{1, 2, 4} {
 					vc := tc
 					vc.cfg.Lookahead = v.lookahead
-					vc.cfg.EngineMode = v.mode
 					r := runWorkers(t, vc, w)
 					id := fmt.Sprintf("%s/workers=%d", v.name, w)
 					if *r.res != *ref.res {
@@ -110,51 +106,10 @@ func TestLookaheadDeterminism(t *testing.T) {
 	}
 }
 
-// TestOptimisticRollbackOccurs pins down that the optimistic determinism
-// coverage above is not vacuous: on a memory-bound workload the free-running
-// clusters must actually overrun arriving cache responses and roll back, and
-// the run must still match the lockstep engine cycle-for-cycle.
-func TestOptimisticRollbackOccurs(t *testing.T) {
-	cfg := xmtgo.ConfigFPGA64()
-	threads := cfg.Clusters * cfg.TCUsPerCluster
-	src := workloads.TableI(workloads.ParallelMemory, threads, 8)
-	prog, _, err := xmtgo.Build("parmem.c", src, xmtgo.DefaultCompileOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(mode string) (*xmtgo.SimResult, uint64) {
-		c := cfg
-		c.EngineMode = mode
-		sys, err := xmtgo.NewSimulator(prog, c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(2_000_000)
-		if err != nil || !res.Halted {
-			t.Fatalf("mode=%q: halted=%v err=%v", mode, res != nil && res.Halted, err)
-		}
-		return res, sys.Rollbacks()
-	}
-
-	wRes, wRoll := run(xmtgo.EngineWindowed)
-	oRes, oRoll := run(xmtgo.EngineOptimistic)
-	if wRoll != 0 {
-		t.Errorf("windowed engine reported %d rollbacks; conservative windows never roll back", wRoll)
-	}
-	if oRoll == 0 {
-		t.Error("optimistic run reported zero rollbacks; the rollback path went unexercised")
-	}
-	if *oRes != *wRes {
-		t.Errorf("optimistic result %+v != windowed %+v", *oRes, *wRes)
-	}
-}
-
 // TestLookaheadCheckpointResume chops a run into periodic-checkpoint segments
 // whose period is coprime to the lookahead window, so every stop lands
 // mid-window, and verifies the resumed runs reach the same architectural
-// state as an uninterrupted single-cycle run — for the derived conservative
-// window and for the optimistic engine.
+// state as an uninterrupted single-cycle run under the derived window.
 func TestLookaheadCheckpointResume(t *testing.T) {
 	red, _, _ := workloads.Reduction(512)
 	prog, _, err := xmtgo.Build("reduction.c", red, xmtgo.DefaultCompileOptions())
@@ -175,13 +130,11 @@ func TestLookaheadCheckpointResume(t *testing.T) {
 	}
 
 	for _, v := range []engineVariant{
-		{"window-derived", 0, ""},
-		{"optimistic", 0, "optimistic"},
+		{"window-derived", 0},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := xmtgo.ConfigFPGA64()
 			cfg.Lookahead = v.lookahead
-			cfg.EngineMode = v.mode
 			// Derived window for fpga64 is an even number of cycles; an odd
 			// checkpoint period guarantees stops fall mid-window. Keep it
 			// well under the run length so several segments occur.

@@ -1,8 +1,9 @@
 // Host-parallel determinism: the cycle-accurate simulator must produce
 // bit-identical results regardless of how many host workers tick the
 // cluster shards (Config.HostWorkers). This is the contract that makes
-// -workers safe to default to GOMAXPROCS: cycle counts, halt state, every
-// statistics counter and all program output match the serial run exactly.
+// -workers N safe to set on any host (the default, 0, is the serial run):
+// cycle counts, halt state, every statistics counter and all program
+// output match the serial run exactly.
 // scripts/check.sh runs this test under -race, which also proves the
 // compute phase is free of shared-state races.
 package xmtgo_test

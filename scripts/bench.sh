@@ -4,8 +4,9 @@
 #     sh scripts/bench.sh
 #
 # Runs the Table I throughput benchmarks, the host-parallel scaling
-# benchmark, the lookahead comparison (single-cycle vs derived window vs
-# optimistic, docs/PERF.md §Lookahead) and the functional-backend
+# benchmark (the default worker setting beside workers 1, 2, 4 and 8), the
+# lookahead comparison (single-cycle vs derived window, docs/PERF.md
+# §Lookahead windows) and the functional-backend
 # comparison (interpreter vs funcvm bytecode VM, docs/SIMULATOR.md
 # §Functional backends) with -benchmem, writes the parsed results to
 # BENCH_<date>.json,

@@ -81,14 +81,6 @@ type (
 	ThermalManager = power.ThermalManager
 )
 
-// Engine window strategies for Config.EngineMode (docs/PERF.md): the
-// conservative bounded-lookahead default and the optimistic rollback mode.
-// Results are bit-identical under either.
-const (
-	EngineWindowed   = config.EngineWindowed
-	EngineOptimistic = config.EngineOptimistic
-)
-
 // Functional-mode backends for Config.FuncBackend (docs/SIMULATOR.md
 // §Functional backends). Architectural results are bit-identical under
 // either; the VM is the fast path.
