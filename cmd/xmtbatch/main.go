@@ -4,6 +4,13 @@
 // hardened so a single wedged or slow job never sinks the batch
 // (docs/ROBUSTNESS.md).
 //
+// The batch runs on an in-process xmtd daemon (internal/daemon) with one
+// worker, so jobs run one at a time in jobs-file order and inherit the
+// daemon's journal, checkpoint envelopes, retry policy and drain. The -out
+// directory is the daemon's data directory: re-running the same command on
+// it resumes the batch, reporting finished jobs from the journal and
+// resuming interrupted ones from their last checkpoint.
+//
 // Usage:
 //
 //	xmtbatch [flags] jobs.txt
@@ -27,14 +34,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"time"
 
-	"xmtgo/internal/asm"
-	"xmtgo/internal/batch"
-	"xmtgo/internal/codegen"
 	"xmtgo/internal/config"
+	"xmtgo/internal/daemon"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/metrics"
 )
@@ -44,71 +54,96 @@ type listFlag []string
 func (l *listFlag) String() string     { return strings.Join(*l, ",") }
 func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
-func main() {
+// notify installs the two-stage SIGINT/SIGTERM handler; tests replace it to
+// deliver the first-signal interrupt in-process.
+var notify = sigctl.Notify
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xmtbatch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var sets listFlag
 	var (
-		cfgName   = flag.String("config", "fpga64", "machine preset: fpga64 or chip1024")
-		timeout   = flag.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited, disables retries)")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
-		retries   = flag.Int("retries", 2, "retry attempts per failed or timed-out job")
-		backoff   = flag.Float64("backoff", 2, "cycle-budget multiplier between attempts")
-		outDir    = flag.String("out", "", "directory for per-job checkpoint files (empty = retries restart from scratch)")
-		workers   = flag.Int("workers", 0, "host worker goroutines for the cluster shards: 0 = serial (1 worker); N>1 = N parallel workers, results identical")
-		quiet     = flag.Bool("q", false, "suppress per-attempt progress lines")
+		cfgName   = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
+		timeout   = fs.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited)")
+		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
+		retries   = fs.Int("retries", 2, "retry attempts per failed or timed-out job")
+		backoff   = fs.Float64("backoff", 2, "cycle-budget and watchdog multiplier between attempts")
+		outDir    = fs.String("out", "", "data directory for the job journal and checkpoints; re-running on it resumes the batch (empty = a temporary directory, not resumable)")
+		workers   = fs.Int("workers", 0, "host worker goroutines for the cluster shards: 0 = serial (1 worker); N>1 = N parallel workers, results identical")
+		quiet     = fs.Bool("q", false, "suppress per-attempt progress lines")
 
-		serveAddr    = flag.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")
-		sampleCycles = flag.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
+		serveAddr    = fs.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")
+		sampleCycles = fs.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
+		pprofFlag    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	flag.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xmtbatch [flags] jobs.txt")
-		flag.Usage()
-		os.Exit(2)
+	fs.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: xmtbatch [flags] jobs.txt")
+		fs.PrintDefaults()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "xmtbatch:", err)
+		return 1
 	}
 
 	cfg, err := config.Preset(*cfgName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	for _, kv := range sets {
 		if err := cfg.Set(kv); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *workers != 0 {
 		cfg.HostWorkers = *workers
 	}
-
-	jobs, err := loadJobs(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if len(jobs) == 0 {
-		fatal(fmt.Errorf("%s: no jobs", flag.Arg(0)))
-	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-
 	if *sampleCycles >= 0 {
 		cfg.SampleCycles = *sampleCycles
 	}
 
-	opts := batch.Options{
+	jobsPath := fs.Arg(0)
+	jobs, err := loadJobs(jobsPath)
+	if err != nil {
+		return fail(err)
+	}
+	if len(jobs) == 0 {
+		return fail(fmt.Errorf("%s: no jobs", jobsPath))
+	}
+
+	dataDir := *outDir
+	if dataDir == "" {
+		if dataDir, err = os.MkdirTemp("", "xmtbatch-"); err != nil {
+			return fail(err)
+		}
+		defer os.RemoveAll(dataDir)
+	} else if err := checkRerun(dataDir, jobsPath, jobs); err != nil {
+		return fail(err)
+	}
+
+	opts := daemon.Options{
 		Config:          cfg,
-		TimeoutCycles:   *timeout,
+		DataDir:         dataDir,
+		Workers:         1, // one job at a time, in jobs-file order
+		BudgetCycles:    *timeout,
 		CheckpointEvery: *ckptEvery,
 		Retries:         *retries,
 		Backoff:         *backoff,
-		OutDir:          *outDir,
+		MaxQueued:       len(jobs),
 		SampleCycles:    cfg.SampleCycles,
+		LogLevel:        slog.LevelDebug,
 	}
 	if !*quiet {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 	if *serveAddr != "" {
 		msrv := metrics.NewServer()
@@ -117,60 +152,127 @@ func main() {
 		}
 		addr, err := msrv.ListenAndServe(*serveAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
+		fmt.Fprintf(stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
 		opts.Monitor = msrv
 		defer msrv.Close()
 	} else if *pprofFlag {
-		fatal(fmt.Errorf("-pprof requires -serve"))
+		return fail(fmt.Errorf("-pprof requires -serve"))
 	}
-	// First SIGINT/SIGTERM checkpoints the running job at its next quiescent
-	// point (persisted under -out as usual), skips the jobs not yet started,
-	// and exits cleanly; a second signal forces exit.
-	intr := &batch.Interrupt{}
-	opts.Interrupt = intr
-	stopSig := sigctl.Notify("xmtbatch", intr.Trigger)
-	defer stopSig()
-	results := batch.Run(jobs, opts)
 
-	failed := 0
-	interrupted := 0
-	for _, r := range results {
-		if errors.Is(r.Err, batch.ErrInterrupted) {
-			interrupted++
-			fmt.Printf("INTR %-20s attempts=%d resumes=%d cycles=%d (checkpoint saved; re-run to resume)\n",
-				r.Name, r.Attempts, r.Resumes, r.Cycles)
-			continue
-		}
-		if r.Err != nil {
-			failed++
-			fmt.Printf("FAIL %-20s attempts=%d resumes=%d: %v\n", r.Name, r.Attempts, r.Resumes, r.Err)
-			continue
-		}
-		fmt.Printf("ok   %-20s attempts=%d resumes=%d cycles=%d instrs=%d output=%q\n",
-			r.Name, r.Attempts, r.Resumes, r.Cycles, r.Instrs, r.Output)
+	d, err := daemon.New(opts)
+	if err != nil {
+		return fail(err)
 	}
-	if interrupted > 0 {
-		fmt.Fprintf(os.Stderr, "xmtbatch: interrupted; %d of %d jobs not finished\n",
-			interrupted+len(jobs)-len(results), len(jobs))
+	// First SIGINT/SIGTERM drains the daemon: the running job checkpoints at
+	// its next quiescent point and stays journaled as queued, like every job
+	// not yet started; a second signal forces exit. drain is shared with the
+	// normal shutdown below and runs once (concurrent callers wait for it).
+	drain := sync.OnceValue(d.Drain)
+	intr := make(chan struct{})
+	stopSig := notify("xmtbatch", func() {
+		close(intr)
+		drain()
+	})
+	defer stopSig()
+
+	// A re-run on the same -out finds its jobs in the replayed journal
+	// (checkRerun proved their specs unchanged): finished ones report their
+	// journaled result, unfinished ones are already queued to resume.
+	ids := make(map[string]string, len(jobs))
+	for _, st := range d.List("") {
+		ids[st.Name] = st.ID
+	}
+	for _, j := range jobs {
+		if ids[j.spec.Name] != "" {
+			continue
+		}
+		st, aerr := d.Submit(&j.spec)
+		if aerr != nil {
+			if aerr.Code == daemon.ErrDraining {
+				break // interrupted: the rest are simply not started
+			}
+			drain()
+			return fail(fmt.Errorf("%s:%d: job %s (%s): %v", jobsPath, j.line, j.spec.Name, j.path, aerr))
+		}
+		ids[j.spec.Name] = st.ID
+	}
+	waitAll(d, jobs, ids, intr)
+	if err := drain(); err != nil {
+		return fail(err)
+	}
+
+	failed, reported, unfinished := 0, 0, 0
+	for _, j := range jobs {
+		st, aerr := d.Status(ids[j.spec.Name])
+		switch {
+		case aerr != nil || st.State == daemon.StateQueued && st.Attempt == 0:
+			unfinished++ // never started
+		case st.State == daemon.StateQueued:
+			unfinished++
+			note := "checkpoint saved; re-run to resume"
+			if *outDir == "" {
+				note = "not resumable: no -out directory, checkpoint discarded"
+			}
+			fmt.Fprintf(stdout, "INTR %-20s attempts=%d resumes=%d cycles=%d (%s)\n",
+				st.Name, st.Attempt, st.Resumes, st.Cycles, note)
+		case st.State == daemon.StateDone:
+			reported++
+			r := st.Result
+			fmt.Fprintf(stdout, "ok   %-20s attempts=%d resumes=%d cycles=%d instrs=%d output=%q\n",
+				st.Name, st.Attempt, st.Resumes, r.Cycles, r.Instrs, r.Output)
+		default:
+			reported++
+			failed++
+			fmt.Fprintf(stdout, "FAIL %-20s attempts=%d resumes=%d: %s\n",
+				st.Name, st.Attempt, st.Resumes, st.Result.Err)
+		}
+	}
+	if unfinished > 0 {
+		fmt.Fprintf(stderr, "xmtbatch: interrupted; %d of %d jobs not finished\n", unfinished, len(jobs))
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "xmtbatch: %d of %d jobs failed\n", failed, len(results))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xmtbatch: %d of %d jobs failed\n", failed, reported)
+		return 1
+	}
+	return 0
+}
+
+// waitAll blocks until every job is terminal or the first signal arrives.
+func waitAll(d *daemon.Daemon, jobs []job, ids map[string]string, intr <-chan struct{}) {
+	for _, j := range jobs {
+		for {
+			select {
+			case <-intr:
+				return
+			default:
+			}
+			if _, aerr := d.Wait(ids[j.spec.Name], 50*time.Millisecond); aerr == nil || aerr.Code != daemon.ErrTimeout {
+				break
+			}
+		}
 	}
 }
 
+// job is one jobs-file line as a daemon submission.
+type job struct {
+	spec daemon.JobSpec
+	path string // program file
+	line int
+}
+
 // loadJobs parses the jobs file: one "name program [key=value ...]" per
-// line, assembling .s sources directly and compiling anything else as XMTC.
-func loadJobs(path string) ([]batch.Job, error) {
+// line. Programs ending in .s are assembly; anything else is XMTC, compiled
+// by the daemon at submission.
+func loadJobs(path string) ([]job, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 
-	var jobs []batch.Job
+	var jobs []job
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(f)
 	for lineNo := 1; sc.Scan(); lineNo++ {
@@ -192,11 +294,19 @@ func loadJobs(path string) ([]batch.Job, error) {
 				return nil, fmt.Errorf("%s:%d: override %q is not key=value", path, lineNo, kv)
 			}
 		}
-		prog, err := loadProgram(progPath)
+		src, err := os.ReadFile(progPath)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, lineNo, err)
 		}
-		jobs = append(jobs, batch.Job{Name: name, Prog: prog, Sets: fields[2:]})
+		kind := "xmtc"
+		if filepath.Ext(progPath) == ".s" {
+			kind = "asm"
+		}
+		jobs = append(jobs, job{
+			spec: daemon.JobSpec{Name: name, Kind: kind, Source: string(src), Sets: fields[2:]},
+			path: progPath,
+			line: lineNo,
+		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -204,31 +314,48 @@ func loadJobs(path string) ([]batch.Job, error) {
 	return jobs, nil
 }
 
-func loadProgram(path string) (*asm.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var unit *asm.Unit
-	if filepath.Ext(path) == ".s" {
-		unit, err = asm.Parse(path, string(src))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res, err := codegen.Compile(path, string(src), codegen.Options{OptLevel: 1, PrefetchSlots: 4})
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, w)
-		}
-		unit = res.Unit
-	}
-	return asm.Assemble(unit)
+// changedJobError reports a jobs-file line whose name matches a job already
+// journaled under -out but whose program or overrides differ: resuming the
+// old checkpoint or reporting the old result would silently answer for a
+// different job.
+type changedJobError struct {
+	path string
+	line int
+	name string
+	dir  string
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xmtbatch:", err)
-	os.Exit(1)
+func (e *changedJobError) Error() string {
+	return fmt.Sprintf("%s:%d: job %s differs from the job of that name journaled in %s (program or overrides changed); use a fresh -out directory",
+		e.path, e.line, e.name, e.dir)
+}
+
+// checkRerun matches the jobs already journaled under dir against the jobs
+// file before anything runs: every journaled job must be a line of the file
+// with the same kind, source and overrides.
+func checkRerun(dir, path string, jobs []job) error {
+	jl, recs, err := daemon.OpenJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		return err
+	}
+	if err := jl.Close(); err != nil {
+		return err
+	}
+	byName := make(map[string]*job, len(jobs))
+	for i := range jobs {
+		byName[jobs[i].spec.Name] = &jobs[i]
+	}
+	for _, rec := range recs {
+		if rec.Kind != daemon.RecSubmit || rec.Spec == nil {
+			continue
+		}
+		j := byName[rec.Spec.Name]
+		if j == nil {
+			return fmt.Errorf("%s: job %s journaled in %s is not in the jobs file; use a fresh -out directory", path, rec.Spec.Name, dir)
+		}
+		if j.spec.Kind != rec.Spec.Kind || j.spec.Source != rec.Spec.Source || !slices.Equal(j.spec.Sets, rec.Spec.Sets) {
+			return &changedJobError{path: path, line: j.line, name: j.spec.Name, dir: dir}
+		}
+	}
+	return nil
 }

@@ -1,11 +1,13 @@
 // Package obs is the service-layer observability toolkit behind xmtd and
-// the batch runner (docs/OBSERVABILITY.md "Service-layer observability"):
+// xmtbatch, which drives an in-process xmtd (docs/OBSERVABILITY.md
+// "Service-layer observability"):
 //
 //   - a job lifecycle Tracer: bounded ring of host-time spans (queued,
 //     compile, run attempts, checkpoint writes, journal fsyncs, preempt,
 //     resume, terminal events) exported as Chrome trace-event JSON with
 //     pid = tenant and tid = job, so a daemon timeline loads in Perfetto
-//     exactly like the simulator's cycle traces;
+//     exactly like the simulator's cycle traces (both are written through
+//     ChromeDoc);
 //   - Hists: named host-latency histograms reusing stats.Histogram's
 //     power-of-two buckets, rendered as Prometheus _bucket/_sum/_count
 //     series and summarized (count/mean/p50/p99/max) for /status;

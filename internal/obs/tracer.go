@@ -151,16 +151,8 @@ func jobTid(job string) int {
 // are host nanoseconds rendered as fractional microseconds. Formatting is
 // fixed, so the output is a pure function of the span list.
 func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
-	ew := &chromeWriter{w: w}
-	ew.printf("{\"traceEvents\":[\n")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			ew.printf(",\n")
-		}
-		first = false
-		ew.printf(format, args...)
-	}
+	doc := NewChromeDoc(w)
+	emit := doc.Event
 
 	// pid 0 = daemon-internal spans (no tenant); tenants follow in order of
 	// first appearance so the mapping is a pure function of the span list.
@@ -225,8 +217,7 @@ func WriteChrome(w io.Writer, spans []Span, dropped uint64) error {
 		emit(`{"name":%q,"cat":"lifecycle","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{%s}}`,
 			s.Name, usec(s.StartNs), usec(s.DurNs), pid, tid, args)
 	}
-	ew.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", dropped)
-	return ew.err
+	return doc.Close(dropped)
 }
 
 // usec renders nanoseconds as microseconds with nanosecond precision
@@ -239,14 +230,44 @@ func usec(ns int64) string {
 	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
 }
 
-type chromeWriter struct {
-	w   io.Writer
-	err error
+// ChromeDoc writes one Chrome trace-event JSON document ("traceEvents"
+// array format): NewChromeDoc opens the array, Event appends one
+// comma-separated event object, and Close writes the footer with the
+// dropped-event count. It is the one document shell shared by the daemon's
+// lifecycle traces and the simulator's cycle traces (internal/sim/trace).
+// Write errors are sticky: after the first, every call is a no-op and Close
+// returns it.
+type ChromeDoc struct {
+	w       io.Writer
+	err     error
+	started bool // an event has been written
 }
 
-func (e *chromeWriter) printf(format string, args ...any) {
-	if e.err != nil {
+// NewChromeDoc starts a document on w.
+func NewChromeDoc(w io.Writer) *ChromeDoc {
+	d := &ChromeDoc{w: w}
+	d.printf("{\"traceEvents\":[\n")
+	return d
+}
+
+// Event appends one event object, formatted like fmt.Fprintf.
+func (d *ChromeDoc) Event(format string, args ...any) {
+	if d.started {
+		d.printf(",\n")
+	}
+	d.started = true
+	d.printf(format, args...)
+}
+
+// Close ends the document and returns the first write error, if any.
+func (d *ChromeDoc) Close(dropped uint64) error {
+	d.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", dropped)
+	return d.err
+}
+
+func (d *ChromeDoc) printf(format string, args ...any) {
+	if d.err != nil {
 		return
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	_, d.err = fmt.Fprintf(d.w, format, args...)
 }

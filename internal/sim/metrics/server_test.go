@@ -103,29 +103,34 @@ func TestServerEndpoints(t *testing.T) {
 	if st.Cycle != 500 || st.AliveTCUs != 64 || st.WatchdogSlack != 4000 {
 		t.Errorf("/status = %+v", st)
 	}
-	if st.Batch != nil {
-		t.Errorf("unexpected batch block: %+v", st.Batch)
+	if st.Daemon != nil {
+		t.Errorf("unexpected daemon block: %+v", st.Daemon)
 	}
 }
 
-func TestServerBatchStatus(t *testing.T) {
+// TestServerDaemonStatus publishes the daemon block (what xmtd and xmtbatch
+// report) and checks it reaches /status and survives a later sample
+// publish, with its counters on /metrics.
+func TestServerDaemonStatus(t *testing.T) {
 	srv, addr := startServer(t)
-	srv.PublishBatch(metrics.BatchStatus{JobsTotal: 3, JobsDone: 1, Current: "job-b", Attempt: 2})
+	srv.PublishDaemon(metrics.DaemonStatus{QueueDepth: 2, Running: 1, Workers: 1, Completed: 3, Retries: 1})
 
 	body, _ := get(t, "http://"+addr+"/status")
 	var st metrics.Status
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Batch == nil || st.Batch.JobsTotal != 3 || st.Batch.Current != "job-b" {
-		t.Fatalf("/status batch = %+v", st.Batch)
+	if st.Daemon == nil || st.Daemon.QueueDepth != 2 || st.Daemon.Completed != 3 {
+		t.Fatalf("/status daemon = %+v", st.Daemon)
 	}
 
-	// A later sample publish keeps the batch block merged in.
+	// A later sample publish keeps the daemon block merged in.
 	srv.Publish(testBundle(900))
 	body, _ = get(t, "http://"+addr+"/metrics")
-	if !strings.Contains(body, "xmt_batch_jobs_total 3") {
-		t.Errorf("/metrics missing batch families:\n%s", body)
+	for _, want := range []string{"xmt_daemon_completed_total 3", "xmt_daemon_queue_depth 2", "xmt_cycle 900"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 

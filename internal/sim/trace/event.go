@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 
 	"xmtgo/internal/isa"
+	"xmtgo/internal/obs"
 	"xmtgo/internal/sim/engine"
 )
 
@@ -184,16 +184,8 @@ func (m ChromeMeta) pidTid(ctx int32) (int, int) {
 // events are written in log order with fixed formatting, so traces from
 // different host worker counts compare equal byte-for-byte.
 func (l *EventLog) WriteChrome(w io.Writer, meta ChromeMeta) error {
-	bw := newErrWriter(w)
-	bw.printf("{\"traceEvents\":[\n")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		bw.printf(format, args...)
-	}
+	doc := obs.NewChromeDoc(w)
+	emit := doc.Event
 
 	// Metadata: name the master and cluster tracks.
 	emit(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"master+memory"}}`)
@@ -241,21 +233,5 @@ func (l *EventLog) WriteChrome(w io.Writer, meta ChromeMeta) error {
 				e.Kind, e.TS, e.Dur, pid, tid, e.PC, e.Op.Meta().Name)
 		}
 	}
-	bw.printf("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"%d\"}}\n", l.Dropped)
-	return bw.err
-}
-
-// errWriter folds the repetitive error handling of sequential writes.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func newErrWriter(w io.Writer) *errWriter { return &errWriter{w: w} }
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return doc.Close(l.Dropped)
 }

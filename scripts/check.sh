@@ -80,12 +80,18 @@ echo "== telemetry endpoint smoke (xmtsim -serve)"
 # /status, and assert the advertised metric families.
 go test -count=1 -run TestCLIServeEndpoints .
 
-echo "== xmtd gate (daemon: submit, preempt, kill -9, journal replay, drain)"
+echo "== xmtd gate (daemon: submit, preempt, kill -9, journal replay, drain; xmtbatch interrupt/resume)"
 # A real xmtd process over a unix socket: a high-priority job preempts a
 # running one at a checkpoint boundary, kill -9 lands mid-job, a restart on
 # the same data directory replays the journal and finishes the job with the
 # right output, and a drain exits 0 leaving the clean-shutdown marker.
 go test -count=1 -timeout 300s -run TestCLIDaemonCrashRecovery .
+# xmtbatch drives an in-process daemon: an interrupt mid-job drains it (INTR
+# line, exit 0), and re-running the same command on the same -out resumes
+# the batch, in jobs-file order, to output and mem_hash identical to an
+# uninterrupted batch. Without -out the INTR line must say the job cannot
+# be resumed.
+go test -count=1 -timeout 300s -run 'TestRunInterruptResume|TestRunInterruptWithoutOut' ./cmd/xmtbatch
 
 echo "== xmtd observability gate (lifecycle trace, latency histograms, structured logs, pprof)"
 # A real xmtd with -serve/-pprof/-trace: a submit → preempt → resume → done
@@ -119,9 +125,11 @@ echo "== coverage gate"
 # (78.0% at the PR-2 seed, 78.1% at PR-5, 78.9% at PR-8, 79.0% at PR-9 —
 # the daemon, its CLIs and sigctl ship with in-process coverage; measured
 # 79.3% then, 79.5% at PR-10 with internal/obs and the daemon threading,
-# baselined with slack for timing-dependent daemon branches). Raise the
-# baseline when coverage improves; never lower it to make a change pass.
-baseline=79.0
+# baselined with slack for timing-dependent daemon branches; measured 80.6%
+# at PR-13, where xmtbatch gained in-process coverage and internal/batch
+# was folded onto the daemon). Raise the baseline when coverage improves;
+# never lower it to make a change pass.
+baseline=80.2
 profile=$(mktemp)
 go test -count=1 -coverprofile="$profile" -coverpkg=./... ./... >/dev/null
 total=$(go tool cover -func="$profile" | tail -1 | sed 's/.*[[:space:]]\([0-9.]*\)%/\1/')
