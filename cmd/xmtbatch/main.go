@@ -43,16 +43,11 @@ import (
 	"sync"
 	"time"
 
-	"xmtgo/internal/config"
 	"xmtgo/internal/daemon"
+	"xmtgo/internal/runopts"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/metrics"
 )
-
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 // notify installs the two-stage SIGINT/SIGTERM handler; tests replace it to
 // deliver the first-signal interrupt in-process.
@@ -63,22 +58,20 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xmtbatch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var sets listFlag
+	cf := runopts.ConfigFlags(fs, "override one configuration key=value for every job (repeatable)")
 	var (
-		cfgName   = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		timeout   = fs.Int64("timeout", 0, "first-attempt cycle budget per job (0 = unlimited)")
 		ckptEvery = fs.Int64("checkpoint-every", 0, "checkpoint each job every N cluster cycles (0 = only program-requested checkpoints)")
 		retries   = fs.Int("retries", 2, "retry attempts per failed or timed-out job")
 		backoff   = fs.Float64("backoff", 2, "cycle-budget and watchdog multiplier between attempts")
 		outDir    = fs.String("out", "", "data directory for the job journal and checkpoints; re-running on it resumes the batch (empty = a temporary directory, not resumable)")
-		workers   = fs.Int("workers", 0, "host worker goroutines for the cluster shards: 0 = serial (1 worker); N>1 = N parallel workers, results identical")
 		quiet     = fs.Bool("q", false, "suppress per-attempt progress lines")
 
-		serveAddr    = fs.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")
-		sampleCycles = fs.Int64("sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
-		pprofFlag    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
+		serveAddr = fs.String("serve", "", "serve live metrics on this address while the batch runs (/metrics, /status, /stream)")
+		pprofFlag = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	fs.Var(&sets, "set", "override one configuration key=value for every job (repeatable)")
+	fs.IntVar(&cf.Workers, "workers", 0, "host worker goroutines for the cluster shards: 0 = serial (1 worker); N>1 = N parallel workers, results identical")
+	fs.Int64Var(&cf.SampleCycles, "sample-cycles", -1, "interval-sampler period for -serve in cluster cycles (-1 = keep the preset's sample_cycles)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -95,20 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cfg, err := config.Preset(*cfgName)
+	cfg, err := cf.Resolve()
 	if err != nil {
 		return fail(err)
-	}
-	for _, kv := range sets {
-		if err := cfg.Set(kv); err != nil {
-			return fail(err)
-		}
-	}
-	if *workers != 0 {
-		cfg.HostWorkers = *workers
-	}
-	if *sampleCycles >= 0 {
-		cfg.SampleCycles = *sampleCycles
 	}
 
 	jobsPath := fs.Arg(0)

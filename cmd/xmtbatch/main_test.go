@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -415,5 +417,24 @@ func TestRunUsageAndFatalPaths(t *testing.T) {
 		if got, _ := runBatch(t, nil, tc.args...); got != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.code)
 		}
+	}
+}
+
+// TestFlagNames pins xmtbatch's flag set, read back from its -h listing: the
+// config flags moved to internal/runopts without adding or removing one.
+func TestFlagNames(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	got := regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(stderr.String(), -1)
+	var names []string
+	for _, m := range got {
+		names = append(names, m[1])
+	}
+	want := []string{"backoff", "checkpoint-every", "config", "out", "pprof", "q", "retries",
+		"sample-cycles", "serve", "set", "timeout", "workers"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("flags\n%v\nwant\n%v", names, want)
 	}
 }

@@ -29,24 +29,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
-	"xmtgo/internal/config"
 	"xmtgo/internal/daemon"
 	"xmtgo/internal/obs"
+	"xmtgo/internal/runopts"
 	"xmtgo/internal/sim/metrics"
 )
-
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 // exitCode carries run's exit status out of fatal; run recovers it so tests
 // can drive the daemon in-process.
@@ -64,12 +59,11 @@ func run(args []string) (code int) {
 			code = int(c)
 		}
 	}()
-	fs := flag.NewFlagSet("xmtd", flag.ExitOnError)
-	var sets listFlag
+	fs := flag.NewFlagSet("xmtd", flag.ContinueOnError)
+	cf := runopts.ConfigFlags(fs, "override one configuration key=value (repeatable)")
 	var (
 		listenAddr = fs.String("listen", "unix:/tmp/xmtd.sock", "job API address: unix:/path or [tcp:]host:port")
 		dataDir    = fs.String("data", "xmtd-data", "durable state directory (journal + checkpoint envelopes)")
-		cfgName    = fs.String("config", "fpga64", "machine preset: fpga64 or chip1024")
 		workers    = fs.Int("workers", 1, "concurrent simulation workers")
 		ckptEvery  = fs.Int64("checkpoint-every", 100000, "checkpoint running jobs every N cluster cycles (also bounds preemption latency)")
 		budget     = fs.Int64("budget", 0, "default first-attempt cycle budget per job (0 = unlimited)")
@@ -81,28 +75,24 @@ func run(args []string) (code int) {
 		tenantRunning = fs.Int("tenant-max-running", 0, "per-tenant running-job quota (0 = unlimited)")
 		tenantBudget  = fs.Int64("tenant-max-budget", 0, "per-tenant cap on requested budget_cycles (0 = unlimited)")
 
-		serveAddr    = fs.String("serve", "", "serve live metrics on this address (/metrics /status /stream?job=ID /logs)")
-		sampleCycles = fs.Int64("sample-cycles", -1, "interval-sampler period for -serve (-1 = preset's sample_cycles)")
-		quiet        = fs.Bool("q", false, "suppress progress lines")
+		serveAddr = fs.String("serve", "", "serve live metrics on this address (/metrics /status /stream?job=ID /logs)")
+		quiet     = fs.Bool("q", false, "suppress progress lines")
 
 		logLevel  = fs.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
 		traceOut  = fs.String("trace", "", "write the lifecycle trace (Chrome trace-event JSON) to this file on exit")
 		pprofFlag = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -serve address")
 	)
-	fs.Var(&sets, "set", "override one configuration key=value (repeatable)")
-	fs.Parse(args)
+	fs.Int64Var(&cf.SampleCycles, "sample-cycles", -1, "interval-sampler period for -serve (-1 = preset's sample_cycles)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	cfg, err := config.Preset(*cfgName)
+	cfg, err := cf.Resolve()
 	if err != nil {
 		fatal(err)
-	}
-	for _, kv := range sets {
-		if err := cfg.Set(kv); err != nil {
-			fatal(err)
-		}
-	}
-	if *sampleCycles >= 0 {
-		cfg.SampleCycles = *sampleCycles
 	}
 
 	opts := daemon.Options{

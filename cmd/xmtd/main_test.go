@@ -1,7 +1,10 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,5 +102,37 @@ func TestRunFatalPaths(t *testing.T) {
 		if got := run(tc.args); got != 1 {
 			t.Errorf("%s: run = %d, want 1", tc.name, got)
 		}
+	}
+}
+
+// TestFlagNames pins xmtd's flag set, read back from its -h listing: the
+// config flags moved to internal/runopts without adding or removing one.
+func TestFlagNames(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "help"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f // the flag set prints its listing to os.Stderr
+	code := run([]string{"-h"})
+	out, err := os.ReadFile(f.Name())
+	bogus := run([]string{"-bogus"})
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || bogus != 2 {
+		t.Fatalf("-h: exit %d, want 0; unknown flag: exit %d, want 2", code, bogus)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(string(out), -1) {
+		names = append(names, m[1])
+	}
+	want := []string{"backoff", "budget", "checkpoint-every", "config", "data", "listen", "log-level",
+		"max-queued", "pprof", "q", "retries", "sample-cycles", "serve", "set", "tenant-max-budget",
+		"tenant-max-queued", "tenant-max-running", "trace", "workers"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("flags\n%v\nwant\n%v", names, want)
 	}
 }

@@ -25,343 +25,238 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"xmtgo/internal/asm"
 	"xmtgo/internal/asm/postpass"
 	"xmtgo/internal/config"
 	"xmtgo/internal/floorplan"
-	"xmtgo/internal/prof"
+	"xmtgo/internal/runopts"
 	"xmtgo/internal/sigctl"
 	"xmtgo/internal/sim/checkpoint"
 	"xmtgo/internal/sim/cycle"
 	"xmtgo/internal/sim/funcmodel"
-	"xmtgo/internal/sim/funcvm"
 	"xmtgo/internal/sim/metrics"
 	"xmtgo/internal/sim/power"
 	"xmtgo/internal/sim/stats"
 	"xmtgo/internal/sim/trace"
 )
 
-type listFlag []string
+// notify installs the two-stage SIGINT/SIGTERM handler; tests replace it to
+// deliver the first-signal interrupt in-process.
+var notify = sigctl.Notify
 
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	var sets, memmaps listFlag
-	var (
-		cfgName   = flag.String("config", "fpga64", "machine preset: fpga64 or chip1024")
-		cfgFile   = flag.String("config-file", "", "key=value configuration file")
-		mode      = flag.String("mode", "cycle", "simulation mode: cycle or func")
-		backend   = flag.String("backend", "", "functional-mode backend: interp or vm (default: config func_backend, else interp)")
-		maxCycles = flag.Int64("max-cycles", 0, "stop after this many cycles (0 = unlimited)")
-		showStats = flag.Bool("stats", false, "print instruction and activity counters")
-		hot       = flag.Bool("hot", false, "enable the hottest-memory-locations filter plug-in")
-		histogram = flag.Bool("histogram", false, "enable the opcode-histogram filter plug-in")
-		traceLvl  = flag.String("trace", "", "execution trace: func, cycle, or a .json path (Chrome trace for Perfetto)")
-		counters  = flag.Bool("counters", false, "print the hardware performance counter report")
-		profile   = flag.Bool("profile", false, "print the cycle profile (flat by source line + cumulative by function)")
-		traceTCU  = flag.Int("trace-tcu", math.MinInt, "limit trace to one TCU (-1 = master)")
-		traceOp   = flag.String("trace-op", "", "limit trace to one mnemonic")
-		ckptOut   = flag.String("checkpoint", "", "write a checkpoint here when the program requests one")
-		ckptIn    = flag.String("resume", "", "resume from this checkpoint file")
-		thermal   = flag.Bool("thermal", false, "attach the power/thermal DVFS manager plug-in")
-		plan      = flag.Bool("floorplan", false, "render the cluster floorplan at exit (activity or temperature)")
-		describe  = flag.Bool("describe", false, "print the machine configuration and exit")
-		workers   = flag.Int("workers", 0, "host worker goroutines for the cluster shards: 0 = serial (1 worker); N>1 = N parallel workers, results identical")
-		faultPlan = flag.String("fault", "", `fault-injection plan, e.g. "memflip:10;tcufail:2@5000-90000" (docs/ROBUSTNESS.md)`)
-		faultSeed = flag.Uint64("fault-seed", 0, "fault plan seed (0 = keep the preset's fault_seed)")
-		watchdog  = flag.Int64("watchdog", -1, "no-progress watchdog window in cluster cycles (0 disables; -1 = keep the preset's watchdog_cycles)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+// flags are xmtsim's own flags, beside the shared run options.
+type flags struct {
+	*runopts.Options
+	hot, histogram, thermal, plan, describe bool
+	traceSpec, traceOp, resume, serve       string
+	traceTCU                                int
+	dumps                                   runopts.List
+}
 
-		raceCheck = flag.Bool("race-check", false, "enable xmtsan, the deterministic dynamic race sanitizer (cycle mode; report on stderr)")
+// newFlags registers xmtsim's flags, the shared run options among them, on
+// a new flag set that reports to stderr.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *flags) {
+	fs := flag.NewFlagSet("xmtsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := &flags{Options: runopts.Register(fs, runopts.Env{Tool: "xmtsim", Stderr: stderr, Notify: notify})}
+	fs.StringVar(&f.File, "config-file", "", "key=value configuration file")
+	fs.BoolVar(&f.hot, "hot", false, "enable the hottest-memory-locations filter plug-in")
+	fs.BoolVar(&f.histogram, "histogram", false, "enable the opcode-histogram filter plug-in")
+	fs.StringVar(&f.traceSpec, "trace", "", "execution trace: func, cycle, or a .json path (Chrome trace for Perfetto)")
+	fs.IntVar(&f.traceTCU, "trace-tcu", math.MinInt, "limit trace to one TCU (-1 = master)")
+	fs.StringVar(&f.traceOp, "trace-op", "", "limit trace to one mnemonic")
+	fs.StringVar(&f.resume, "resume", "", "resume from this checkpoint file")
+	fs.BoolVar(&f.thermal, "thermal", false, "attach the power/thermal DVFS manager plug-in")
+	fs.BoolVar(&f.plan, "floorplan", false, "render the cluster floorplan at exit (activity or temperature)")
+	fs.BoolVar(&f.describe, "describe", false, "print the machine configuration and exit")
+	fs.StringVar(&f.serve, "serve", "", "serve live metrics on this address while running (/metrics, /status, /stream)")
+	fs.Var(&f.dumps, "dump", "memory dump at exit: symbol or symbol:words (repeatable)")
+	return fs, f
+}
 
-		sampleCycles = flag.Int64("sample-cycles", -1, "interval-sampler period in cluster cycles (0 disables; -1 = keep the preset's sample_cycles)")
-		samplesOut   = flag.String("samples", "", "write the interval-sample time series here (.jsonl or .csv; needs a sampling interval)")
-		countersJSON = flag.String("counters-json", "", "write the machine-readable counter snapshot (xmt-counters/v1 JSON) to this file")
-		serveAddr    = flag.String("serve", "", "serve live metrics on this address while running (/metrics, /status, /stream)")
-	)
-	var dumps listFlag
-	flag.Var(&dumps, "dump", "memory dump at exit: symbol or symbol:words (repeatable)")
-	flag.Var(&sets, "set", "override one configuration key=value (repeatable)")
-	flag.Var(&memmaps, "mem", "memory-map input file (repeatable)")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, f := newFlags(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "xmtsim:", err)
+		return 1
+	}
 
-	cfg, err := config.Preset(*cfgName)
+	cfg, err := f.Resolve()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *cfgFile != "" {
-		src, err := os.ReadFile(*cfgFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := cfg.Load(string(src)); err != nil {
-			fatal(err)
-		}
+	if f.describe {
+		fmt.Fprint(stdout, cfg.Describe())
+		return 0
 	}
-	for _, kv := range sets {
-		if err := cfg.Set(kv); err != nil {
-			fatal(err)
-		}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: xmtsim [flags] program.s")
+		fs.Usage()
+		return 2
 	}
-	if *workers != 0 {
-		cfg.HostWorkers = *workers
+	stopProf, err := f.StartProfiles()
+	if err != nil {
+		return fail(err)
 	}
-	if *faultPlan != "" {
-		cfg.FaultPlan = *faultPlan
+	defer stopProf()
+	if err := f.simulate(fs.Arg(0), cfg, stdout, stderr); err != nil {
+		return fail(err)
 	}
-	if *faultSeed != 0 {
-		cfg.FaultSeed = *faultSeed
+	return 0
+}
+
+// simulate loads the assembly program at path and runs it in -mode.
+func (f *flags) simulate(path string, cfg config.Config, stdout, stderr io.Writer) error {
+	chrome := ""
+	if strings.HasSuffix(f.traceSpec, ".json") {
+		chrome = f.traceSpec
 	}
-	if *watchdog >= 0 {
-		cfg.WatchdogCycles = *watchdog
-	}
-	if *sampleCycles >= 0 {
-		cfg.SampleCycles = *sampleCycles
-	}
-	if *raceCheck {
-		cfg.RaceCheck = true
-	}
-	if *backend != "" {
-		if err := cfg.Set("func_backend=" + *backend); err != nil {
-			fatal(err)
-		}
-	}
-	if *describe {
-		fmt.Print(cfg.Describe())
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xmtsim [flags] program.s")
-		flag.Usage()
-		os.Exit(2)
+	err := f.CheckMode(cfg, runopts.CycleOnly{Name: "-trace *.json", Set: chrome != ""},
+		runopts.CycleOnly{Name: "-serve", Set: f.serve != ""})
+	if err != nil {
+		return err
 	}
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	src, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "xmtsim: profile:", err)
-		}
-	}()
-
-	src, err := os.ReadFile(flag.Arg(0))
+	u, err := asm.Parse(path, string(src))
 	if err != nil {
-		fatal(err)
-	}
-	u, err := asm.Parse(flag.Arg(0), string(src))
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	if _, err := postpass.Run(u); err != nil {
-		fatal(err)
+		return err
 	}
 	prog, err := asm.Assemble(u)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	for _, mm := range memmaps {
-		data, err := os.ReadFile(mm)
-		if err != nil {
-			fatal(err)
-		}
-		if err := asm.ApplyMemMap(prog, mm, string(data)); err != nil {
-			fatal(err)
-		}
+	if err := f.ApplyMem(prog); err != nil {
+		return err
 	}
-
 	var resume *checkpoint.State
-	if *ckptIn != "" {
-		f, err := os.Open(*ckptIn)
+	if f.resume != "" {
+		fh, err := os.Open(f.resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		resume, err = checkpoint.Load(f)
-		f.Close()
+		resume, err = checkpoint.Load(fh)
+		fh.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	traceJSON := strings.HasSuffix(*traceLvl, ".json")
-	if *mode == "func" {
-		if traceJSON || *counters || *profile {
-			fatal(fmt.Errorf("-trace *.json, -counters and -profile need the cycle-accurate mode"))
+	if f.Mode == "func" {
+		m, err := funcmodel.New(prog, cfg.MemBytes, stdout)
+		if err != nil {
+			return err
 		}
-		if cfg.RaceCheck {
-			fatal(fmt.Errorf("-race-check needs the cycle-accurate mode"))
+		if resume != nil {
+			if err := checkpoint.Restore(m, resume); err != nil {
+				return err
+			}
 		}
-		if *samplesOut != "" || *countersJSON != "" || *serveAddr != "" {
-			fatal(fmt.Errorf("-samples, -counters-json and -serve need the cycle-accurate mode"))
+		if f.traceSpec != "" {
+			m.Trace = trace.New(stderr, trace.LevelFunctional).FuncHook()
 		}
-		m := runFunctional(prog, cfg, resume, *ckptOut, *traceLvl != "")
-		if err := dumpMemory(prog, m.ReadWord, dumps); err != nil {
-			fatal(err)
+		if err := f.Functional(m, cfg.FuncBackend); err != nil {
+			return err
 		}
-		return
-	}
-	if cfg.FuncBackend == config.FuncBackendVM {
-		fatal(fmt.Errorf("-backend vm applies to the functional mode (-mode func)"))
+		return dumpMemory(stderr, prog, m.ReadWord, f.dumps)
 	}
 
-	sys, err := cycle.New(prog, cfg, os.Stdout)
+	sys, err := cycle.New(prog, cfg, stdout)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if resume != nil {
 		if err := sys.RestoreState(resume); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	// First SIGINT/SIGTERM stops the run at the next architecturally
-	// quiescent point; the epilogue below then persists the checkpoint when
-	// -checkpoint was given, so an interrupted run can be resumed exactly.
-	stopSig := sigctl.Notify("xmtsim", sys.RequestCheckpoint)
-	defer stopSig()
-	if *hot {
+	if f.hot {
 		sys.Stats.AddFilter(stats.NewHotLocations(uint32(cfg.CacheLineSize), 10))
 	}
-	if *histogram {
+	if f.histogram {
 		sys.Stats.AddFilter(&stats.OpHistogram{})
 	}
 	var tm *power.ThermalManager
-	if *thermal {
-		tm, err = power.NewThermalManager(&cfg, 5000, 85)
-		if err != nil {
-			fatal(err)
+	if f.thermal {
+		if tm, err = power.NewThermalManager(&cfg, 5000, 85); err != nil {
+			return err
 		}
 		sys.AddActivityPlugin(tm)
 	}
-	switch {
-	case traceJSON:
-		sys.SetEventLog(trace.NewEventLog())
-	case *traceLvl != "":
+	if f.traceSpec != "" && chrome == "" {
 		lvl := trace.LevelFunctional
-		if *traceLvl == "cycle" {
+		if f.traceSpec == "cycle" {
 			lvl = trace.LevelCycle
 		}
-		tr := trace.New(os.Stderr, lvl)
-		if *traceTCU != math.MinInt {
-			tr.LimitTCU(*traceTCU)
+		tr := trace.New(stderr, lvl)
+		if f.traceTCU != math.MinInt {
+			tr.LimitTCU(f.traceTCU)
 		}
-		if *traceOp != "" {
-			if err := tr.LimitOp(*traceOp); err != nil {
-				fatal(err)
+		if f.traceOp != "" {
+			if err := tr.LimitOp(f.traceOp); err != nil {
+				return err
 			}
 		}
 		sys.SetTrace(tr.CycleHook())
 	}
-	var lineProf *stats.LineProfile
-	if *profile {
-		lineProf = stats.NewLineProfile(prog, cfg.Clusters+1)
-		lineProf.SetSource(string(src))
-		sys.AttachProfile(lineProf)
+	interval := cfg.SampleCycles
+	if f.serve != "" && interval <= 0 {
+		interval = 10000 // live serving needs a publish cadence
 	}
-
 	// The sampler attaches after RestoreState so resumed runs report
 	// absolute cycles, and after the thermal manager so its plug-in event
 	// runs later at each boundary and reads the already-advanced grid.
-	sampleInterval := cfg.SampleCycles
-	if *serveAddr != "" && sampleInterval <= 0 {
-		sampleInterval = 10000 // live serving needs a publish cadence
-	}
-	smp := metrics.Attach(sys, sampleInterval)
+	smp := metrics.Attach(sys, interval)
 	if smp != nil && tm != nil {
 		smp.AttachThermal(tm)
 	}
-	if *samplesOut != "" && smp == nil {
-		fatal(fmt.Errorf("-samples needs a sampling interval (-sample-cycles or sample_cycles)"))
-	}
-	if *serveAddr != "" {
+	if f.serve != "" {
 		msrv := metrics.NewServer()
-		addr, err := msrv.ListenAndServe(*serveAddr)
+		addr, err := msrv.ListenAndServe(f.serve)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
+		fmt.Fprintf(stderr, "serving metrics on http://%s (/metrics /status /stream)\n", addr)
 		smp.SetServer(msrv)
 		defer msrv.Close()
 	}
-
-	res, err := sys.Run(*maxCycles)
-	if err != nil {
-		fatal(err)
+	if err := f.Cycle(sys, smp, string(src), chrome); err != nil {
+		return err
 	}
-	if smp != nil {
-		smp.Finalize(res.Cycles, int64(res.Ticks), sys.Stats, sys.AliveTCUs())
+	if err := dumpMemory(stderr, prog, sys.Machine.ReadWord, f.dumps); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "\n=== %d cycles, %d instructions (%s) ===\n", res.Cycles, res.Instrs, endState(res))
-	if res.Checkpoint && *ckptOut != "" {
-		f, err := os.Create(*ckptOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := checkpoint.Save(f, sys.Capture()); err != nil {
-			fatal(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "checkpoint written to %s (cycle %d)\n", *ckptOut, res.Cycles)
+	if f.plan {
+		renderPlan(stderr, sys, tm, cfg)
 	}
-	if *showStats {
-		sys.Stats.Report(os.Stderr)
-	}
-	if det := sys.RaceDetector(); det != nil {
-		if err := det.WriteReport(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if *counters {
-		sys.Stats.ReportCounters(os.Stderr)
-	}
-	if *countersJSON != "" {
-		if err := metrics.ExportCounters(*countersJSON, sys.Stats, res.Cycles, int64(res.Ticks)); err != nil {
-			fatal(err)
-		}
-	}
-	if *samplesOut != "" {
-		if err := metrics.ExportSamples(*samplesOut, smp); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "interval samples written to %s (%d samples)\n", *samplesOut, len(smp.Samples()))
-	}
-	if lineProf != nil {
-		lineProf.Report(os.Stderr, 30)
-	}
-	if traceJSON {
-		f, err := os.Create(*traceLvl)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sys.EventLog().WriteChrome(f, sys.ChromeMeta()); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "chrome trace written to %s (%d events; load in Perfetto or chrome://tracing)\n",
-			*traceLvl, len(sys.EventLog().Events))
-	}
-	if err := dumpMemory(prog, sys.Machine.ReadWord, dumps); err != nil {
-		fatal(err)
-	}
-	if *plan {
-		renderPlan(sys, tm, cfg)
-	}
+	return nil
 }
 
 // dumpMemory implements the "memory dump" output of Fig. 3: it prints
 // words starting at a data symbol.
-func dumpMemory(prog *asm.Program, read func(uint32) (int32, error), dumps []string) error {
+func dumpMemory(w io.Writer, prog *asm.Program, read func(uint32) (int32, error), dumps []string) error {
 	for _, spec := range dumps {
 		name, cntStr, hasCnt := strings.Cut(spec, ":")
 		count := 8
@@ -374,135 +269,28 @@ func dumpMemory(prog *asm.Program, read func(uint32) (int32, error), dumps []str
 		if !ok {
 			return fmt.Errorf("-dump: unknown data symbol %q", name)
 		}
-		fmt.Fprintf(os.Stderr, "%s @0x%08x:", name, addr)
+		fmt.Fprintf(w, "%s @0x%08x:", name, addr)
 		for i := 0; i < count; i++ {
 			v, err := read(addr + uint32(4*i))
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, " %d", v)
+			fmt.Fprintf(w, " %d", v)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func endState(res *cycle.Result) string {
-	switch {
-	case res.Halted:
-		return "halted"
-	case res.Checkpoint:
-		return "checkpoint"
-	case res.TimedOut:
-		return "cycle budget exhausted"
-	}
-	return "stopped"
-}
-
-func renderPlan(sys *cycle.System, tm *power.ThermalManager, cfg config.Config) {
+func renderPlan(w io.Writer, sys *cycle.System, tm *power.ThermalManager, cfg config.Config) {
 	p := floorplan.NewGridPlan(cfg.Clusters)
 	if tm != nil {
-		p.Render(os.Stderr, "die temperature (°C)", tm.Grid().T, math.NaN(), math.NaN())
+		p.Render(w, "die temperature (°C)", tm.Grid().T, math.NaN(), math.NaN())
 		return
 	}
 	vals := make([]float64, cfg.Clusters)
 	for i := range vals {
 		vals[i] = float64(sys.Stats.Cluster[i].TCUInstrs)
 	}
-	p.Render(os.Stderr, "per-cluster committed instructions", vals, math.NaN(), math.NaN())
-}
-
-func runFunctional(prog *asm.Program, cfg config.Config, resume *checkpoint.State, ckptOut string, traceOn bool) *funcmodel.Machine {
-	m, err := funcmodel.New(prog, cfg.MemBytes, os.Stdout)
-	if err != nil {
-		fatal(err)
-	}
-	if resume != nil {
-		if err := checkpoint.Restore(m, resume); err != nil {
-			fatal(err)
-		}
-	}
-	if traceOn {
-		tr := trace.New(os.Stderr, trace.LevelFunctional)
-		m.Trace = tr.FuncHook()
-	}
-	saveCkpt := func(m *funcmodel.Machine) error {
-		f, err := os.Create(ckptOut)
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.Save(f, checkpoint.Capture(m, int64(m.InstrCount))); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "checkpoint written to %s (instruction %d)\n", ckptOut, m.InstrCount)
-		return nil
-	}
-	// Functional mode has no cycle loop to piggyback on, so the signal
-	// handler just raises a flag; the run loops below stop at the next
-	// quiescent instruction boundary, persist a checkpoint when -checkpoint
-	// was given, and exit cleanly.
-	var interrupted atomic.Bool
-	stopSig := sigctl.Notify("xmtsim", func() { interrupted.Store(true) })
-	defer stopSig()
-	stoppedBySignal := func() {
-		if ckptOut != "" {
-			if err := saveCkpt(m); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode, stopped by signal) ===\n", m.InstrCount)
-	}
-	if cfg.FuncBackend == config.FuncBackendVM {
-		vm, err := funcvm.Attach(m)
-		if err != nil {
-			fatal(err)
-		}
-		if ckptOut != "" {
-			vm.OnCheckpoint = saveCkpt
-		}
-		// Run in bounded chunks so the interrupt flag is observed promptly
-		// without a per-instruction check in the VM dispatch loop.
-		const chunk = 1 << 16
-		for !m.Halted {
-			if err := vm.RunTo(m.InstrCount + chunk); err != nil {
-				fatal(err)
-			}
-			if interrupted.Load() && !m.Halted {
-				stoppedBySignal()
-				return m
-			}
-		}
-		fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode, vm backend) ===\n", m.InstrCount)
-		return m
-	}
-	for {
-		ok, err := m.Step()
-		if err != nil {
-			fatal(err)
-		}
-		if m.CheckpointRequested && ckptOut != "" {
-			if err := saveCkpt(m); err != nil {
-				fatal(err)
-			}
-			m.CheckpointRequested = false
-		}
-		if !ok {
-			break
-		}
-		if interrupted.Load() && m.Quiescent() {
-			stoppedBySignal()
-			return m
-		}
-	}
-	fmt.Fprintf(os.Stderr, "\n=== %d instructions (functional mode) ===\n", m.InstrCount)
-	return m
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xmtsim:", err)
-	os.Exit(1)
+	p.Render(w, "per-cluster committed instructions", vals, math.NaN(), math.NaN())
 }

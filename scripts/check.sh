@@ -127,9 +127,12 @@ echo "== coverage gate"
 # 79.3% then, 79.5% at PR-10 with internal/obs and the daemon threading,
 # baselined with slack for timing-dependent daemon branches; measured 80.6%
 # at PR-13, where xmtbatch gained in-process coverage and internal/batch
-# was folded onto the daemon). Raise the baseline when coverage improves;
-# never lower it to make a change pass.
-baseline=80.2
+# was folded onto the daemon; baseline 80.2% then. Measured 83.7% once
+# xmtsim and xmtrun moved from exec-only to in-process coverage over the
+# shared internal/runopts layer: baseline 80.2% -> 83.3%, the same
+# 0.4-point slack). Raise the baseline when coverage improves; never lower
+# it to make a change pass.
+baseline=83.3
 profile=$(mktemp)
 go test -count=1 -coverprofile="$profile" -coverpkg=./... ./... >/dev/null
 total=$(go tool cover -func="$profile" | tail -1 | sed 's/.*[[:space:]]\([0-9.]*\)%/\1/')
